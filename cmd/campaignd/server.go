@@ -31,8 +31,9 @@ import (
 const maxSubmitBytes = 1 << 20
 
 // submitRequest is the POST /campaigns body. Unknown fields are rejected
-// (DisallowUnknownFields), so a typo'd knob fails the submit loudly
-// instead of silently running the wrong ablation.
+// (DisallowUnknownFields), so a typo'd or retired knob (the VM ablations
+// noICache, noUops, noDirtyTracking and noTraces are engine-local, not
+// service options) fails the submit loudly instead of being ignored.
 type submitRequest struct {
 	App      string `json:"app"`      // a target registry name ("ftpd", "sshd", "httpd")
 	Scenario string `json:"scenario"` // e.g. "Client1"
@@ -45,21 +46,6 @@ type submitRequest struct {
 	Fuel       uint64 `json:"fuel,omitempty"`
 	Parallel   int    `json:"parallelism,omitempty"`
 	Watchdog   bool   `json:"watchdog,omitempty"`
-	// NoICache disables the VM's predecoded instruction cache for this
-	// campaign (the perf-ablation knob; outcomes are identical either way).
-	NoICache bool `json:"noICache,omitempty"`
-	// NoUops routes execution through the VM's legacy interpreter switch
-	// instead of bound micro-op handlers (the other perf-ablation knob;
-	// outcomes are identical either way).
-	NoUops bool `json:"noUops,omitempty"`
-	// NoDirtyTracking forces full-image snapshot restores instead of
-	// O(dirty) page copies (perf-ablation knob; outcomes are identical
-	// either way).
-	NoDirtyTracking bool `json:"noDirtyTracking,omitempty"`
-	// NoTraces disables superblock trace fusion, dispatching every
-	// instruction individually (perf-ablation knob; outcomes are identical
-	// either way).
-	NoTraces bool `json:"noTraces,omitempty"`
 	// Journal enables crash-safe journaling (requires -journals). A
 	// resubmission of the same app/scenario/scheme resumes the journal.
 	Journal bool `json:"journal,omitempty"`
@@ -422,11 +408,7 @@ func (s *server) submit(w http.ResponseWriter, r *http.Request) {
 	cfg := campaign.Config{
 		App: app, Scenario: sc, Scheme: scheme, Model: req.FaultModel,
 		Fuel: req.Fuel, Parallelism: req.Parallel, Watchdog: req.Watchdog,
-		NoICache:        req.NoICache,
-		NoUops:          req.NoUops,
-		NoDirtyTracking: req.NoDirtyTracking,
-		NoTraces:        req.NoTraces,
-		CheckpointSync:  req.CheckpointSync,
+		CheckpointSync: req.CheckpointSync,
 	}
 	if cacheMode != campaign.CacheOff {
 		cfg.CacheMode = cacheMode

@@ -250,6 +250,12 @@ func TestServiceRejectsBadRequests(t *testing.T) {
 		// ablation (DisallowUnknownFields).
 		{`{"app":"ftpd","scenario":"Client1","noICash":true}`, http.StatusBadRequest},
 		{`{"app":"ftpd","scenario":"Client1","jurnal":true}`, http.StatusBadRequest},
+		// The VM ablation knobs are engine-local and left the wire; a body
+		// still carrying one is refused the same way.
+		{`{"app":"ftpd","scenario":"Client1","noUops":true}`, http.StatusBadRequest},
+		{`{"app":"ftpd","scenario":"Client1","noICache":true}`, http.StatusBadRequest},
+		{`{"app":"ftpd","scenario":"Client1","noTraces":true}`, http.StatusBadRequest},
+		{`{"app":"ftpd","scenario":"Client1","noDirtyTracking":true}`, http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		resp, err := http.Post(ts.URL+"/campaigns", "application/json", bytes.NewBufferString(c.body))

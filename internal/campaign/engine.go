@@ -98,27 +98,24 @@ type Config struct {
 	// Cache is the shard-result store consulted per CacheMode; nil
 	// disables caching regardless of mode.
 	Cache *castore.Store
-	// NoSnapshot forces the naive from-scratch path for every run. It
-	// exists for differential testing and benchmarking against the
-	// snapshot fast-forward.
+	// NoSnapshot forces the naive from-scratch path for every run, for
+	// differential tests and benchmarks. Engine-local: it is not sent to
+	// fleet workers.
 	NoSnapshot bool
 	// NoICache disables the VM's predecoded instruction cache on every
-	// machine the engine creates. Like NoSnapshot it exists for
-	// differential testing and for the ablation benchmarks; outcomes must
-	// be bit-identical either way.
+	// machine the engine creates. Ablation knob; outcomes must be
+	// bit-identical either way. Engine-local: it is not sent to fleet
+	// workers.
 	NoICache bool
-	// NoUops routes every retirement through the VM's legacy interpreter
-	// switch instead of the bound micro-op handlers. Like NoICache it is
-	// an ablation/differential-testing knob; outcomes must be
-	// bit-identical either way.
-	NoUops bool
 	// NoDirtyTracking disables the VM's dirty-page bitmaps, forcing every
 	// snapshot restore to copy the full address space. Ablation knob;
-	// outcomes must be bit-identical either way.
+	// outcomes must be bit-identical either way. Engine-local: it is not
+	// sent to fleet workers.
 	NoDirtyTracking bool
 	// NoTraces disables superblock trace fusion, dispatching every
 	// retirement individually. Ablation knob; outcomes must be
-	// bit-identical either way.
+	// bit-identical either way. Engine-local: it is not sent to fleet
+	// workers.
 	NoTraces bool
 }
 
@@ -347,7 +344,6 @@ func (e *Engine) captureSnapshots(wave []group, cfValid map[uint32]struct{},
 	m.Fuel = fuel
 	m.CFValid = cfValid
 	m.NoICache = e.cfg.NoICache
-	m.NoUops = e.cfg.NoUops
 	m.NoDirtyTracking = e.cfg.NoDirtyTracking
 	m.NoTraces = e.cfg.NoTraces
 	for i := range wave {
@@ -641,7 +637,6 @@ func (e *Engine) runGroup(ctx context.Context, wm *vm.Machine, g *group,
 		if wm == nil {
 			wm = snap.m.NewMachine(k2)
 			wm.NoICache = e.cfg.NoICache
-			wm.NoUops = e.cfg.NoUops
 			wm.NoDirtyTracking = e.cfg.NoDirtyTracking
 			wm.NoTraces = e.cfg.NoTraces
 		} else {

@@ -39,13 +39,13 @@ type Coordinator struct {
 	done         atomic.Int64
 	adopted      atomic.Int64
 	cacheAdopted atomic.Int64
-	counts      [6]atomic.Int64
-	freshRuns   atomic.Int64
-	retries     atomic.Int64
-	speculative atomic.Int64
-	duplicates  atomic.Int64
-	startNanos  atomic.Int64
-	endNanos    atomic.Int64
+	counts       [6]atomic.Int64
+	freshRuns    atomic.Int64
+	retries      atomic.Int64
+	speculative  atomic.Int64
+	duplicates   atomic.Int64
+	startNanos   atomic.Int64
+	endNanos     atomic.Int64
 }
 
 // workerState is the coordinator's view of one worker.
@@ -622,8 +622,6 @@ func (c *Coordinator) specFor(sh *shardState) ShardSpec {
 		App: cc.App.Name, Scenario: cc.Scenario.Name, Scheme: encoding.SchemeName(cc.Scheme),
 		Model: campaign.WireModel(cc.Model),
 		Fuel:  cc.Fuel, Parallelism: cc.Parallelism, Watchdog: cc.Watchdog,
-		NoICache: cc.NoICache, NoUops: cc.NoUops, NoSnapshot: cc.NoSnapshot,
-		NoDirtyTracking: cc.NoDirtyTracking, NoTraces: cc.NoTraces,
 		CacheMode: cc.CacheMode,
 		Total:     len(c.exps), Shard: sh.id, Indices: sh.pending,
 	}

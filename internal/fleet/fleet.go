@@ -78,12 +78,6 @@ type ShardSpec struct {
 	Fuel        uint64 `json:"fuel,omitempty"`
 	Parallelism int    `json:"parallelism,omitempty"`
 	Watchdog    bool   `json:"watchdog,omitempty"`
-	NoICache    bool   `json:"noICache,omitempty"`
-	NoUops      bool   `json:"noUops,omitempty"`
-	NoSnapshot  bool   `json:"noSnapshot,omitempty"`
-
-	NoDirtyTracking bool `json:"noDirtyTracking,omitempty"`
-	NoTraces        bool `json:"noTraces,omitempty"`
 	// CacheMode is the campaign's content-addressed cache mode ("",
 	// "off", "read", "readwrite"). A worker honors it only when it has a
 	// local result store configured; the coordinator consults its own

@@ -144,21 +144,27 @@ func TestWorkerRefusesModelSkew(t *testing.T) {
 		t.Errorf("total-skew shard: err = %v, want version-skew refusal naming the model", err)
 	}
 
-	// Over HTTP both refusals surface as 400 before any stream bytes.
+	// Over HTTP both refusals surface as 400 before any stream bytes, as
+	// does a spec carrying a retired VM ablation field (the worker decodes
+	// with DisallowUnknownFields).
 	srv := httptest.NewServer(fleet.NewWorkerServer(map[string]*target.App{app.Name: app}, nil))
 	defer srv.Close()
-	resp, err := http.Post(srv.URL, "application/json",
-		strings.NewReader(`{"app":"ftpd","scenario":"Client1","scheme":"x86","model":"nosuch","total":1,"indices":[0]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close() //nolint:errcheck // test
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("unknown-model spec over HTTP: status %d, want 400", resp.StatusCode)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	if !strings.Contains(string(body), "unknown model") {
-		t.Errorf("400 body %s does not name the unknown model", body)
+	for _, c := range []struct{ spec, want string }{
+		{`{"app":"ftpd","scenario":"Client1","scheme":"x86","model":"nosuch","total":1,"indices":[0]}`, "unknown model"},
+		{`{"app":"ftpd","scenario":"Client1","scheme":"x86","noTraces":true,"total":1,"indices":[0]}`, `unknown field \"noTraces\"`},
+	} {
+		resp, err := http.Post(srv.URL, "application/json", strings.NewReader(c.spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close() //nolint:errcheck // test
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("spec %s over HTTP: status %d, want 400", c.spec, resp.StatusCode)
+		}
+		if !strings.Contains(string(body), c.want) {
+			t.Errorf("400 body %s does not contain %q", body, c.want)
+		}
 	}
 }
 

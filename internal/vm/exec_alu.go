@@ -467,18 +467,6 @@ func uBitTestImm(m *Machine, u *x86.Uop) error {
 	return m.bitTest(x86.Op(u.Aux), uint32(u.Imm), &u.RM)
 }
 
-// execBitTest is the legacy-switch entry; it resolves the bit-offset
-// source from the instruction form and defers to the shared core.
-func (m *Machine) execBitTest(in *x86.Inst, pc uint32) error {
-	var off uint32
-	if in.Form == x86.FormRMImm {
-		off = uint32(in.Imm)
-	} else {
-		off = m.regRead(in.Reg, 4)
-	}
-	return m.bitTest(in.Op, off, &in.RM)
-}
-
 func uXadd(m *Machine, u *x86.Uop) error {
 	rv := m.regRead(u.Reg, u.W)
 	mv, f := m.rmRead(&u.RM, u.W)

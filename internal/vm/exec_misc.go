@@ -205,8 +205,3 @@ func (m *Machine) stringOp(op x86.Op, iw uint8, rep uint8) error {
 	}
 	return nil
 }
-
-// execString is the legacy-switch entry for the string family.
-func (m *Machine) execString(in *x86.Inst, pc uint32) error {
-	return m.stringOp(in.Op, in.W, in.Rep)
-}

@@ -42,8 +42,8 @@ func (m *Machine) GetFlag(f uint32) bool { return m.Flags&f != 0 }
 // The flag-computation core is parameterized on the precomputed width mask
 // and sign bit (the *MS variants) so micro-op handlers, whose Uop carries
 // both from bind time, pay no per-retirement width switch. The width-based
-// wrappers derive mask and sign bit via the shared x86 helpers and are used
-// by the legacy interpreter switch and the slow paths.
+// wrappers (setSZP, subFlags) derive mask and sign bit via the shared x86
+// helpers for the slow paths that carry only a width.
 
 // szpBits returns the SF/ZF/PF bits for a masked result — the *MS cores
 // accumulate the status word locally and merge into m.Flags once, instead
@@ -94,12 +94,6 @@ func (m *Machine) addFlagsMS(a, b, carry, mask, sb uint32) uint32 {
 	return r
 }
 
-// addFlags computes a+b+carry at width w, sets CF/OF/AF/SF/ZF/PF, and
-// returns the masked result.
-func (m *Machine) addFlags(a, b, carry uint32, w uint8) uint32 {
-	return m.addFlagsMS(a, b, carry, x86.WidthMask(w), x86.SignBit(w))
-}
-
 // subFlagsMS computes a-b-borrow under the given mask/sign bit, sets
 // CF/OF/AF/SF/ZF/PF, and returns the masked result.
 func (m *Machine) subFlagsMS(a, b, borrow, mask, sb uint32) uint32 {
@@ -136,12 +130,6 @@ func (m *Machine) logicFlagsMS(v, mask, sb uint32) uint32 {
 	return v
 }
 
-// logicFlags clears CF/OF, sets SF/ZF/PF from v, and returns the masked
-// result.
-func (m *Machine) logicFlags(v uint32, w uint8) uint32 {
-	return m.logicFlagsMS(v, x86.WidthMask(w), x86.SignBit(w))
-}
-
 // incFlagsMS computes v+1 preserving CF (INC semantics).
 func (m *Machine) incFlagsMS(v, mask, sb uint32) uint32 {
 	cf := m.GetFlag(x86.FlagCF)
@@ -150,20 +138,10 @@ func (m *Machine) incFlagsMS(v, mask, sb uint32) uint32 {
 	return r
 }
 
-// incFlags computes v+1 preserving CF (INC semantics).
-func (m *Machine) incFlags(v uint32, w uint8) uint32 {
-	return m.incFlagsMS(v, x86.WidthMask(w), x86.SignBit(w))
-}
-
 // decFlagsMS computes v-1 preserving CF (DEC semantics).
 func (m *Machine) decFlagsMS(v, mask, sb uint32) uint32 {
 	cf := m.GetFlag(x86.FlagCF)
 	r := m.subFlagsMS(v, 1, 0, mask, sb)
 	m.setFlag(x86.FlagCF, cf)
 	return r
-}
-
-// decFlags computes v-1 preserving CF (DEC semantics).
-func (m *Machine) decFlags(v uint32, w uint8) uint32 {
-	return m.decFlagsMS(v, x86.WidthMask(w), x86.SignBit(w))
 }

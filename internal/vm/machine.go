@@ -44,16 +44,10 @@ type Machine struct {
 	CFValid map[uint32]struct{}
 
 	// NoICache disables the predecoded instruction cache (the ablation
-	// knob): Step then fetches and decodes every instruction from memory
-	// bytes, and Snapshot/Restore carry no decode tables.
+	// knob): Step then fetches, decodes and binds every instruction from
+	// memory bytes, caching nothing, and Snapshot/Restore carry no decode
+	// tables.
 	NoICache bool
-
-	// NoUops disables micro-op dispatch (the ablation knob): Step then
-	// executes every retirement through the legacy monolithic switch in
-	// exec.go instead of the bound-handler table. Fault semantics are
-	// identical either way (the campaign identity tests prove it); the
-	// knob exists to measure what decode-time handler binding buys.
-	NoUops bool
 
 	// NoTraces disables superblock trace fusion (the ablation knob): Step
 	// then dispatches every retirement individually through the micro-op
@@ -106,6 +100,10 @@ type Machine struct {
 	// stamp faults without threading it through every call. Transient: only
 	// valid during a Step.
 	pc uint32
+	// uop holds the micro-op bound by the last icache miss (or by every
+	// step under NoICache), so the decode slow path dispatches without a
+	// heap-allocated slot. Transient, like pc.
+	uop x86.Uop
 }
 
 // New returns a machine with the given address space and syscall handler.
@@ -231,8 +229,8 @@ func (m *Machine) fuel() uint64 {
 // The warm path is: predecoded-cache hit -> indirect call through the
 // micro-op dispatch table. The decoded form, operand routing, width masks
 // and handler index were all resolved at fill time (x86.Inst.Bind), so a
-// warm retirement performs no per-form dispatch at all. The legacy
-// monolithic switch runs only under the NoUops ablation knob.
+// warm retirement performs no per-form dispatch at all. A miss (or every
+// step, under NoICache) decodes and binds first and dispatches the same way.
 func (m *Machine) Step() error {
 	if m.Steps >= m.fuel() {
 		return &OutOfFuel{Steps: m.Steps}
@@ -249,44 +247,57 @@ func (m *Machine) Step() error {
 			m.ICacheHits++
 			m.Steps++
 			m.TSC += 3 // deterministic pseudo cycle count
-			if m.NoUops {
-				return m.exec(&s.inst, pc)
-			}
-			m.EIP = pc + uint32(s.uop.Len)
-			return uopTable[s.uop.H&(uopTableSize-1)](m, &s.uop)
+			return m.dispatch(pc, &s.uop)
 		}
 	}
+	if err := m.decode(pc); err != nil {
+		return err
+	}
+	m.Steps++
+	m.TSC += 3
+	return m.dispatch(pc, &m.uop)
+}
+
+// dispatch advances EIP past the instruction at pc and calls the handler
+// of its bound micro-op u. It is Step's only entry into the dispatch table,
+// and small enough to inline into both of Step's call sites.
+func (m *Machine) dispatch(pc uint32, u *x86.Uop) error {
+	m.EIP = pc + uint32(u.Len)
+	return uopTable[u.H&(uopTableSize-1)](m, u)
+}
+
+// fetchDecode fetches and decodes the instruction at pc. Undecodable bytes
+// raise #UD; an instruction running off the end of the executable region
+// raises a fetch fault at the first missing byte.
+func (m *Machine) fetchDecode(in *x86.Inst, pc uint32) error {
 	code, f := m.Mem.Fetch(pc, x86.MaxInstLen)
 	if f != nil {
 		f.PC = pc
 		return f
 	}
-	var in x86.Inst
-	if err := x86.DecodeInto(&in, code); err != nil {
+	if err := x86.DecodeInto(in, code); err != nil {
 		de, ok := err.(*x86.DecodeError)
 		if ok && de.Truncated {
-			// Ran off the end of the executable region mid-instruction.
 			return &Fault{Kind: FaultFetch, Addr: pc + uint32(de.Offset), PC: pc}
 		}
 		return &Fault{Kind: FaultUndefined, Addr: pc, PC: pc}
 	}
-	m.Steps++
-	m.TSC += 3 // deterministic pseudo cycle count
-	if m.NoICache {
-		// Nothing is cached, so nothing is bound: every retirement decodes
-		// from bytes and executes through the legacy switch.
-		return m.exec(&in, pc)
+	return nil
+}
+
+// decode fetches, decodes and binds the instruction at pc into m.uop, and
+// fills the icache with it unless the cache is disabled.
+func (m *Machine) decode(pc uint32) error {
+	var in x86.Inst
+	if err := m.fetchDecode(&in, pc); err != nil {
+		return err
 	}
-	m.ICacheMisses++
-	var s islot
-	s.inst = in
-	s.inst.Bind(&s.uop)
-	m.Mem.icacheFill(pc, &s)
-	if m.NoUops {
-		return m.exec(&s.inst, pc)
+	in.Bind(&m.uop)
+	if !m.NoICache {
+		m.ICacheMisses++
+		m.Mem.icacheFill(pc, &m.uop)
 	}
-	m.EIP = pc + uint32(s.uop.Len)
-	return uopTable[s.uop.H&(uopTableSize-1)](m, &s.uop)
+	return nil
 }
 
 // stepFused is Run's inner step: like Step, except that hot straight-line
@@ -295,12 +306,12 @@ func (m *Machine) Step() error {
 // per-instruction dispatch. Architectural state after each retirement is
 // identical to single-stepping (the Step contract of one instruction per
 // call is why trace execution lives here and not in Step itself). Falls
-// back to Step whenever traces are gated off — ablation knob, legacy
-// dispatch, watchdog, armed breakpoints — or when the trace at EIP would
-// outrun the remaining fuel, so OutOfFuel still fires at the exact step
-// it would under single-stepping.
+// back to Step whenever traces are gated off — ablation knobs, watchdog,
+// armed breakpoints — or when the trace at EIP would outrun the remaining
+// fuel, so OutOfFuel still fires at the exact step it would under
+// single-stepping.
 func (m *Machine) stepFused() error {
-	if !m.NoICache && !m.NoUops && !m.NoTraces &&
+	if !m.NoICache && !m.NoTraces &&
 		m.CFValid == nil && len(m.breakpoints) == 0 {
 		pc := m.EIP
 		tr := m.Mem.traceLookup(pc)

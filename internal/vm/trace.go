@@ -125,26 +125,20 @@ func (m *Machine) fuseTrace(pc, end uint32) *trace {
 	tr := &trace{}
 	addr := pc
 	for len(tr.ops) < maxTraceUops {
-		s := m.Mem.icacheLookup(addr)
-		if s == nil {
-			code, f := m.Mem.Fetch(addr, x86.MaxInstLen)
-			if f != nil {
+		var u *x86.Uop
+		if s := m.Mem.icacheLookup(addr); s != nil {
+			u = &s.uop
+		} else {
+			if m.decode(addr) != nil {
 				break
 			}
-			var tmp islot
-			if err := x86.DecodeInto(&tmp.inst, code); err != nil {
-				break
-			}
-			tmp.inst.Bind(&tmp.uop)
-			m.ICacheMisses++
-			m.Mem.icacheFill(addr, &tmp)
-			s = &tmp
+			u = &m.uop
 		}
-		h := s.uop.H
+		h := u.H
 		if h == x86.UString || h == x86.URdtsc {
 			break
 		}
-		next := addr + uint32(s.uop.Len)
+		next := addr + uint32(u.Len)
 		if next > end || next-pc > maxTraceBytes {
 			break
 		}
@@ -152,7 +146,7 @@ func (m *Machine) fuseTrace(pc, end uint32) *trace {
 			fn:   uopTable[h&(uopTableSize-1)],
 			pc:   addr,
 			next: next,
-			u:    s.uop,
+			u:    *u,
 		})
 		if traceTerminator(h) {
 			break

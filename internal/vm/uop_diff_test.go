@@ -9,8 +9,8 @@ import (
 )
 
 // diffMachine builds one machine over a private copy of the given code and
-// data images, so the uop and NoUops runs cannot share state.
-func diffMachine(t *testing.T, code []byte, noUops bool, regs [x86.NumRegs]uint32) *Machine {
+// data images, so the lockstep participants cannot share state.
+func diffMachine(t *testing.T, code []byte, regs [x86.NumRegs]uint32) *Machine {
 	t.Helper()
 	mem := NewMemory()
 	if err := mem.Map(&Region{Name: "text", Base: 0x1000, Perm: PermRead | PermExec,
@@ -26,7 +26,6 @@ func diffMachine(t *testing.T, code []byte, noUops bool, regs [x86.NumRegs]uint3
 		t.Fatal(err)
 	}
 	m := New(mem, nopKernel{})
-	m.NoUops = noUops
 	m.EIP = 0x1000
 	m.Regs = regs
 	return m
@@ -41,38 +40,54 @@ func memImage(m *Machine) map[string][]byte {
 	return out
 }
 
-// stepDiff lock-steps the two machines for at most maxSteps retirements,
-// comparing the full architectural state after every step. It returns on
-// the first terminating error (which must also be identical).
-func stepDiff(t *testing.T, label string, mu, ml *Machine, maxSteps int) {
+// stepDiff runs code from the given registers on three machines in
+// lockstep for at most maxSteps retirements: the default micro-op machine
+// (icache on), a NoICache machine (decode and bind every step), and the
+// legacy-switch oracle (legacyStep). After every step both micro-op
+// machines must match the oracle's full architectural state. It returns on
+// the first terminating error, which must also be identical.
+func stepDiff(t *testing.T, label string, code []byte, regs [x86.NumRegs]uint32, maxSteps int) {
 	t.Helper()
+	ml := diffMachine(t, code, regs)
+	participants := []struct {
+		name string
+		m    *Machine
+	}{
+		{"uop", diffMachine(t, code, regs)},
+		{"noicache", diffMachine(t, code, regs)},
+	}
+	participants[1].m.NoICache = true
 	for i := 0; i < maxSteps; i++ {
-		eu := mu.Step()
-		el := ml.Step()
-		if !reflect.DeepEqual(eu, el) {
-			t.Fatalf("%s: step %d: uop err %v, legacy err %v", label, i, eu, el)
+		el := legacyStep(ml)
+		for _, p := range participants {
+			mu := p.m
+			if eu := mu.Step(); !reflect.DeepEqual(eu, el) {
+				t.Fatalf("%s: step %d: %s err %v, legacy err %v", label, i, p.name, eu, el)
+			}
+			if mu.Regs != ml.Regs || mu.EIP != ml.EIP || mu.Flags != ml.Flags ||
+				mu.Steps != ml.Steps {
+				t.Fatalf("%s: step %d diverged:\n%-8s regs=%v eip=%#x flags=%#x steps=%d\nlegacy:  regs=%v eip=%#x flags=%#x steps=%d",
+					label, i, p.name+":",
+					mu.Regs, mu.EIP, mu.Flags, mu.Steps,
+					ml.Regs, ml.EIP, ml.Flags, ml.Steps)
+			}
 		}
-		if mu.Regs != ml.Regs || mu.EIP != ml.EIP || mu.Flags != ml.Flags ||
-			mu.Steps != ml.Steps {
-			t.Fatalf("%s: step %d diverged:\nuop:    regs=%v eip=%#x flags=%#x steps=%d\nlegacy: regs=%v eip=%#x flags=%#x steps=%d",
-				label, i,
-				mu.Regs, mu.EIP, mu.Flags, mu.Steps,
-				ml.Regs, ml.EIP, ml.Flags, ml.Steps)
-		}
-		if eu != nil {
+		if el != nil {
 			break
 		}
 	}
-	if !reflect.DeepEqual(memImage(mu), memImage(ml)) {
-		t.Fatalf("%s: memory images diverged", label)
+	for _, p := range participants {
+		if !reflect.DeepEqual(memImage(p.m), memImage(ml)) {
+			t.Fatalf("%s: %s memory image diverged from legacy", label, p.name)
+		}
 	}
 }
 
 // TestUopDifferentialRandom drives fixed-seed random byte streams — mostly
 // garbage interleaved with valid-looking opcode bytes, the same population
-// an injected bit flip produces — through a micro-op machine and a NoUops
-// machine in lock-step and requires identical faults, flags, registers,
-// EIP, step counts and memory at every retirement.
+// an injected bit flip produces — through the micro-op machines and the
+// legacy oracle in lockstep and requires identical faults, flags,
+// registers, EIP, step counts and memory at every retirement.
 func TestUopDifferentialRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x5EC0DE))
 	const rounds = 400
@@ -101,16 +116,14 @@ func TestUopDifferentialRandom(t *testing.T) {
 			}
 		}
 		regs[x86.ESP] = 0x8000 + 2048
-		mu := diffMachine(t, code, false, regs)
-		ml := diffMachine(t, code, true, regs)
-		stepDiff(t, "random", mu, ml, 300)
+		stepDiff(t, "random", code, regs, 300)
 	}
 }
 
 // TestUopDifferentialFigureCorpus replays the paper's Figure 1/2/3
 // corruption patterns (condition reversal, register-operand flip,
-// branch-offset flip, immediate bit flip) as a fixed corpus through both
-// execution paths.
+// branch-offset flip, immediate bit flip) as a fixed corpus through the
+// micro-op machines and the legacy oracle.
 func TestUopDifferentialFigureCorpus(t *testing.T) {
 	// A small password-check-shaped program:
 	//   mov eax, [0x2000]   ; rval
@@ -160,9 +173,7 @@ func TestUopDifferentialFigureCorpus(t *testing.T) {
 			tc.mut(code)
 			var regs [x86.NumRegs]uint32
 			regs[x86.ESP] = 0x8000 + 2048
-			mu := diffMachine(t, code, false, regs)
-			ml := diffMachine(t, code, true, regs)
-			stepDiff(t, tc.name, mu, ml, 300)
+			stepDiff(t, tc.name, code, regs, 300)
 		})
 	}
 }

@@ -90,11 +90,11 @@ func TestUopDispatchCompleteness(t *testing.T) {
 	}
 }
 
-// checkUDParity executes one encoding on a uop machine and a NoUops
-// machine and requires both to raise the same #UD fault.
+// checkUDParity executes one encoding on a uop machine and the legacy
+// oracle and requires both to raise the same #UD fault.
 func checkUDParity(t *testing.T, op x86.Op, form x86.Form, enc []byte) {
 	t.Helper()
-	step := func(noUops bool) error {
+	step := func(run func(*Machine) error) error {
 		mem := NewMemory()
 		if err := mem.Map(&Region{Name: "text", Base: 0x1000, Perm: PermRead | PermExec,
 			Data: append([]byte(nil), enc...)}); err != nil {
@@ -105,13 +105,12 @@ func checkUDParity(t *testing.T, op x86.Op, form x86.Form, enc []byte) {
 			t.Fatal(err)
 		}
 		m := New(mem, nopKernel{})
-		m.NoUops = noUops
 		m.EIP = 0x1000
 		m.Regs[x86.ESP] = 0x3000 + 256
-		return m.Step()
+		return run(m)
 	}
-	uopErr := step(false)
-	legacyErr := step(true)
+	uopErr := step((*Machine).Step)
+	legacyErr := step(legacyStep)
 	var f *Fault
 	if !errors.As(uopErr, &f) || f.Kind != FaultUndefined {
 		t.Errorf("(op=%v form=%v) % x: uop path returned %v, want #UD", op, form, enc, uopErr)
